@@ -33,13 +33,13 @@ use std::net::TcpStream;
 use std::process::exit;
 
 /// Queue-wait vs sweep-execution split (satellite of the racing PR):
-/// `adcld.queue_wait_ms` is admission latency (submit → pool admission),
-/// `adcld.sweep_ms` is per-key compute time inside the admission.
+/// `adcld.queue_wait_us` is admission latency (submit → pool admission),
+/// `adcld.sweep_us` is per-key compute time inside the admission.
 fn print_latency_split() {
-    for name in ["adcld.queue_wait_ms", "adcld.sweep_ms"] {
+    for name in ["adcld.queue_wait_us", "adcld.sweep_us"] {
         let h = simcore::metrics::histogram(name);
         println!(
-            "{name}: count={} mean={:.1}ms max={}ms",
+            "{name}: count={} mean={:.1}us max={}us",
             h.count(),
             h.mean(),
             h.max()

@@ -20,7 +20,8 @@
 //!    `adcl::simmemo` sits under both paths, so a sweep whose points all
 //!    replay is tagged `memo-replay`. Queue-wait (admission latency) and
 //!    sweep execution are recorded in separate histograms
-//!    (`adcld.queue_wait_ms` / `adcld.sweep_ms`).
+//!    (`adcld.queue_wait_us` / `adcld.sweep_us`, in microseconds: a
+//!    whole-millisecond histogram rounds most sweeps and waits to 0).
 //!
 //! Durability contract: decisions enter the in-memory store immediately
 //! and hit disk via atomic checkpoint saves every
@@ -154,7 +155,7 @@ struct SchedState {
     history: HistoryStore,
     dirty: u64,
     /// Cold keys awaiting a sweep, with their enqueue instant (feeds the
-    /// `adcld.queue_wait_ms` histogram at admission time).
+    /// `adcld.queue_wait_us` histogram at admission time).
     queue: VecDeque<(HistoryKey, Instant)>,
     in_flight: HashMap<HistoryKey, Vec<mpsc::Sender<ServeResult>>>,
     shutdown: bool,
@@ -421,7 +422,7 @@ impl Service {
             .fetch_add(1, Ordering::Relaxed);
         metrics::counter("adcld.sweep_admissions").inc();
         for (_, enqueued) in &batch {
-            metrics::histogram("adcld.queue_wait_ms").record(enqueued.elapsed().as_millis() as u64);
+            metrics::histogram("adcld.queue_wait_us").record(enqueued.elapsed().as_micros() as u64);
         }
         if batch.len() == 1 {
             let (key, _) = batch.into_iter().next().expect("non-empty batch");
@@ -445,7 +446,7 @@ impl Service {
     fn timed_compute(&self, key: &HistoryKey) -> ServeResult {
         let t0 = Instant::now();
         let result = self.compute(key);
-        metrics::histogram("adcld.sweep_ms").record(t0.elapsed().as_millis() as u64);
+        metrics::histogram("adcld.sweep_us").record(t0.elapsed().as_micros() as u64);
         result
     }
 

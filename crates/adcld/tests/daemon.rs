@@ -7,6 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
+use std::time::Instant;
 
 /// One persistent connection: send every line, collect one response per
 /// line. The connection must survive the whole exchange.
@@ -148,6 +149,40 @@ fn concurrent_distinct_cold_queries_share_few_pool_admissions() {
         "every distinct key still gets its own decision: {stats:?}"
     );
     svc.shutdown(false);
+}
+
+#[test]
+fn cold_query_records_sweep_time_in_microseconds() {
+    // The latency histograms record microseconds: a whole-millisecond
+    // histogram rounded every sub-ms sweep to 0. The sweep dominates a
+    // lone cold query, so its recorded time must be a sizeable share of
+    // the query's wall time in the same unit. The registry is
+    // process-global, so read the delta across this test's query.
+    let sweeps = simcore::metrics::histogram("adcld.sweep_us");
+    let (count0, sum0) = (sweeps.count(), sweeps.sum());
+    let svc = Service::start(ServiceConfig::default()).expect("start");
+    let t0 = Instant::now();
+    let reply = svc
+        .submit(&Query {
+            op: "iallgather".into(),
+            platform: "whale".into(),
+            nprocs: 4,
+            msg_bytes: 1536,
+        })
+        .recv()
+        .expect("response");
+    let wall_us = t0.elapsed().as_micros() as u64;
+    assert!(reply.is_ok(), "cold query not served: {reply:?}");
+    svc.shutdown(false);
+    assert!(
+        sweeps.count() > count0,
+        "no sweep recorded in adcld.sweep_us"
+    );
+    let swept_us = sweeps.sum() - sum0;
+    assert!(
+        swept_us > 0 && swept_us * 100 >= wall_us,
+        "adcld.sweep_us grew by {swept_us} over a {wall_us} us cold query"
+    );
 }
 
 #[test]

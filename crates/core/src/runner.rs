@@ -951,4 +951,45 @@ mod tests {
             .expect("tuner B did not converge within 20 iters");
         assert!(a_conv <= b_conv, "A ({a_conv}) tunes before B ({b_conv})");
     }
+
+    /// Golden serial event order of a `Runner`-driven world: the §IV-A
+    /// micro-benchmark tuning ialltoall (1 KiB, brute force) on 8 block-
+    /// placed whale ranks under light noise. Any change to how the engine
+    /// keys, schedules or dispatches events moves the digest.
+    #[test]
+    fn microbench_world_order_is_pinned() {
+        use crate::microbench::{MicroBenchConfig, MicroBenchScript};
+        let nranks = 8;
+        let mut w = World::new(
+            Platform::whale(),
+            nranks,
+            Placement::Block,
+            NoiseConfig::light(2015),
+        );
+        let mut session = TuningSession::new(nranks);
+        let cfg = TunerConfig {
+            logic: SelectionLogic::BruteForce,
+            reps: 2,
+            warmup: 1,
+            filter: FilterKind::default(),
+        };
+        let op = session.add_op(
+            "ialltoall",
+            FunctionSet::ialltoall_default(CollSpec::new(nranks, 1024)),
+            cfg,
+        );
+        let timer = session.add_timer(vec![op]);
+        let mb = MicroBenchConfig {
+            iters: 12,
+            compute_total: SimTime::from_millis(6),
+            num_progress: 3,
+        };
+        let scripts = MicroBenchScript::per_rank(mb, op, timer, nranks);
+        let mut runner = Runner::new(session, scripts);
+        let makespan = w.run(&mut runner).expect("no deadlock");
+        assert_eq!(
+            (w.event_digest(), makespan.as_nanos(), w.events_processed()),
+            (3_727_497_705_702_182_008, 6_103_484, 2224)
+        );
+    }
 }

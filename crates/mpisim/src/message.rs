@@ -2,11 +2,10 @@
 //!
 //! In-flight message state is split into a sender-side half ([`SendMsg`],
 //! stored in the *sending* rank's arena) and a receiver-side half
-//! ([`DstMsg`], stored in the *destination* rank's arena). The split is what
-//! lets the partitioned world engine give each partition exclusive
-//! ownership of its ranks' state: everything a handler mutates lives on the
-//! rank the event targets, and the two halves only communicate through wire
-//! events.
+//! ([`DstMsg`], stored in the *destination* rank's arena). Everything a
+//! handler mutates lives on the rank the event targets, and the two halves
+//! only communicate through wire events, which carry what the other side
+//! needs.
 
 use crate::bufpool::Payload;
 use crate::types::{RankId, Tag};

@@ -1,17 +1,13 @@
 //! Reusable [`RankBehavior`] workloads.
 //!
-//! [`NeighborExchange`] is the reference *splittable* behaviour: a
-//! multi-round ring exchange whose per-rank state sits behind an
-//! `Arc<Vec<Mutex<..>>>`, so [`RankBehavior::split_par`] can hand every
-//! partition a clone. Partitions own disjoint rank sets, so the per-rank
-//! locks are never contended — they exist to make the sharing safe, not to
-//! synchronize. Identity tests, benchmarks, and the scaling gate all drive
-//! the engine through it.
+//! [`NeighborExchange`] is the engine's reference workload: a multi-round
+//! ring exchange that mixes eager and rendezvous traffic without any
+//! collective or tuner on top. The golden serial-order tests and the
+//! `world_scale` engine benchmark drive the event loop through it.
 
-use crate::types::{NoiseConfig, RankId, RecvHandle, SendHandle, Tag};
+use crate::types::{RankId, RecvHandle, SendHandle, Tag};
 use crate::world::{RankBehavior, Step, World};
 use simcore::SimTime;
-use std::sync::{Arc, Mutex};
 
 /// Where one rank is inside its current round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +23,7 @@ enum Phase {
 }
 
 /// Per-rank interpreter state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RankProg {
     round: usize,
     phase: Phase,
@@ -53,16 +49,15 @@ impl RankProg {
 /// Rounds alternate between a small (eager) and a large (rendezvous)
 /// message size, so one run exercises both protocol paths.
 ///
-/// Tags are `Tag(round)` — allocated identically on every rank without
-/// touching the world-global tag counter, which keeps the behaviour
-/// partition-safe.
+/// Tags are `Tag(round)`: every rank derives them from its own round
+/// counter instead of the world-global tag counter.
 pub struct NeighborExchange {
     nranks: usize,
     rounds: usize,
     small: usize,
     large: usize,
     compute: SimTime,
-    progs: Arc<Vec<Mutex<RankProg>>>,
+    progs: Vec<RankProg>,
 }
 
 impl NeighborExchange {
@@ -76,33 +71,19 @@ impl NeighborExchange {
             small,
             large,
             compute: SimTime::from_micros(20),
-            progs: Arc::new((0..nranks).map(|_| Mutex::new(RankProg::new())).collect()),
+            progs: vec![RankProg::new(); nranks],
         }
     }
 
     /// Per-rank finish times (valid after a completed run).
     pub fn finish_times(&self) -> Vec<SimTime> {
-        self.progs
-            .iter()
-            .map(|p| p.lock().unwrap().finish)
-            .collect()
-    }
-
-    fn clone_shared(&self) -> NeighborExchange {
-        NeighborExchange {
-            nranks: self.nranks,
-            rounds: self.rounds,
-            small: self.small,
-            large: self.large,
-            compute: self.compute,
-            progs: Arc::clone(&self.progs),
-        }
+        self.progs.iter().map(|p| p.finish).collect()
     }
 }
 
 impl RankBehavior for NeighborExchange {
     fn step(&mut self, w: &mut World, r: RankId) -> Step {
-        let mut p = self.progs[r].lock().unwrap();
+        let p = &mut self.progs[r];
         loop {
             if p.round >= self.rounds {
                 p.finish = w.rank_now(r);
@@ -159,40 +140,4 @@ impl RankBehavior for NeighborExchange {
             }
         }
     }
-
-    fn split_par(
-        &mut self,
-        nparts: usize,
-        _owner: &[u32],
-    ) -> Option<Vec<Box<dyn RankBehavior + Send>>> {
-        Some(
-            (0..nparts)
-                .map(|_| Box::new(self.clone_shared()) as Box<dyn RankBehavior + Send>)
-                .collect(),
-        )
-    }
-    // merge_par: default no-op — all state lives behind the shared Arc.
-}
-
-/// Convenience used by tests and benchmarks: run `NeighborExchange` on a
-/// fresh world and return `(makespan, digest)`.
-pub fn run_neighbor_exchange(
-    world: &mut World,
-    rounds: usize,
-    small: usize,
-    large: usize,
-) -> (Result<SimTime, crate::world::SimError>, u64) {
-    let mut b = NeighborExchange::new(world.nranks(), rounds, small, large);
-    let out = world.run(&mut b);
-    (out, world.event_digest())
-}
-
-/// Build a standard world for workload tests.
-pub fn test_world(platform: netmodel::Platform, nranks: usize) -> World {
-    World::new(
-        platform,
-        nranks,
-        netmodel::Placement::RoundRobin,
-        NoiseConfig::none(),
-    )
 }

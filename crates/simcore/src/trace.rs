@@ -24,9 +24,8 @@
 //! accepting whole runs past a fixed budget — better a truncated trace
 //! than an OOM on a 512-rank sweep. The cap is enforced *per rank* rather
 //! than per world so the keep/drop decision for an event depends only on
-//! that rank's own history: the partitioned engine records each rank's
-//! events on whichever thread owns it, and a world-global cap would make
-//! truncation depend on cross-rank interleaving.
+//! that rank's own history: one chatty rank cannot crowd the others out of
+//! the trace, and truncation never depends on cross-rank interleaving.
 
 use crate::time::SimTime;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -272,24 +271,6 @@ impl WorldTrace {
         self.dropped = mark.dropped;
         self.events = mark.events;
     }
-
-    /// Append another trace's per-rank buffers onto this one. The
-    /// partitioned engine gives each shard its own `WorldTrace` (full rank
-    /// fan-out, only owned ranks populated) and absorbs them back after the
-    /// run; per-rank caps make the keep/drop decisions rank-local, so the
-    /// merged buffers are identical to a serial recording.
-    pub fn absorb(&mut self, other: WorldTrace) {
-        debug_assert_eq!(self.ranks.len(), other.ranks.len());
-        for (mine, theirs) in self.ranks.iter_mut().zip(other.ranks) {
-            self.events += theirs.len();
-            if mine.is_empty() {
-                *mine = theirs;
-            } else {
-                mine.extend(theirs);
-            }
-        }
-        self.dropped += other.dropped;
-    }
 }
 
 static COLLECTED_EVENTS: AtomicU64 = AtomicU64::new(0);
@@ -470,20 +451,6 @@ mod tests {
         assert_eq!(t.ranks[0].len(), 1);
         assert!(t.ranks[1].is_empty());
         assert_eq!(t.ranks[0][0].name, "keep");
-    }
-
-    #[test]
-    fn absorb_merges_rank_major() {
-        let mut a = WorldTrace::new(2);
-        let mut b = WorldTrace::new(2);
-        a.instant(0, "a0", "test", SimTime::ZERO, NO_ARGS);
-        b.instant(1, "b1", "test", SimTime::from_nanos(5), NO_ARGS);
-        b.dropped = 3;
-        a.absorb(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.dropped, 3);
-        assert_eq!(a.ranks[0][0].name, "a0");
-        assert_eq!(a.ranks[1][0].name, "b1");
     }
 
     #[test]
